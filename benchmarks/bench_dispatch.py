@@ -2,7 +2,7 @@
 
 Two ladders over workers in {16, 128, 1000}, each run once per
 scheduler kind — the production calendar queue and the frozen
-:class:`~repro.cluster.simclock.HeapSimClock` baseline:
+:class:`~tests.oracles.heap_simclock.HeapSimClock` baseline:
 
 * ``training`` — the full ``Stress 1k`` preset (truncated fleet,
   ``hier:8`` overlay so per-worker degree stays bounded). End-to-end
@@ -34,10 +34,13 @@ import pathlib
 import time
 
 from repro.cluster.peergraph import PeerGraph
-from repro.cluster.simclock import make_clock
+from repro.cluster.simclock import SimClock
 from repro.core.engine import TrainingEngine
 from repro.experiments.environments import get_environment
 from repro.experiments.runner import build_config, build_topology, workload_for
+from tests.oracles.heap_simclock import HeapSimClock
+
+CLOCKS = {"calendar": SimClock, "heap": HeapSimClock}
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_dispatch.json"
@@ -57,14 +60,13 @@ def _run_once(n_workers: int, kind: str) -> dict:
     workload = workload_for(env)
     config = build_config("dlion", workload)
     topo = build_topology(env, workload, n_workers=n_workers)
-    clock = make_clock(kind)
+    clock = CLOCKS[kind]()
     engine = TrainingEngine(
         config,
         topo,
         seed=0,
         clock=clock,
         peer_graph=PeerGraph.from_spec(OVERLAY, n_workers),
-        compute_threads=1,
     )
     t0 = time.perf_counter()
     result = engine.run(HORIZONS[n_workers])
@@ -86,7 +88,7 @@ def _run_once(n_workers: int, kind: str) -> dict:
 
 def _dispatch_once(n_workers: int, kind: str, fires: int) -> dict:
     """Scheduler-only throughput: fleet-shaped events, no-op payloads."""
-    clock = make_clock(kind)
+    clock = CLOCKS[kind]()
     count = [0]
 
     def deliver():

@@ -29,9 +29,8 @@ from repro.cluster.messages import (
     WeightMessage,
 )
 from repro.cluster.monitor import NetworkResourceMonitor
-from repro.cluster.simclock import make_clock
+from repro.cluster.simclock import SimClock
 from repro.cluster.topology import ClusterTopology
-from repro.core.compute_pool import ComputePool
 from repro.core.config import TrainConfig
 from repro.core.gbs_controller import GbsController
 from repro.core.run_metrics import RunMetrics
@@ -187,17 +186,15 @@ class TrainingEngine:
         self.topology = topology
         self.n_workers = topology.n_workers
         self.rng_pool = RngPool(seed)
-        # Calendar-queue scheduler by default; REPRO_SIMCLOCK=heap (or an
-        # explicit ``clock``) swaps in the frozen binary-heap reference —
-        # the hook the golden parity suites and bench_dispatch use.
-        self.clock = clock if clock is not None else make_clock()
+        # ``compute_threads`` exists only because perfbench/rep.py still
+        # passes it; the speculative compute pool it once sized is gone.
+        if compute_threads != 1:
+            raise ValueError("the speculative compute pool was removed")
+        # Calendar-queue scheduler by default; an explicit ``clock`` (the
+        # frozen binary-heap oracle in tests) is the hook the golden
+        # parity suites and bench_dispatch use.
+        self.clock = clock if clock is not None else SimClock()
         self.stopped = False
-
-        # Parallel compute stage: workers' numeric work runs on a thread
-        # pool, speculatively overlapped with event processing. Results
-        # are byte-identical for any thread count (see core.compute_pool);
-        # 1 keeps everything inline on the event loop.
-        self.compute_pool = ComputePool(self, compute_threads)
 
         # Observability: the tracer defaults to a no-op (hot paths pay
         # one ``tracer.enabled`` check); the metrics registry is always
@@ -768,7 +765,6 @@ class TrainingEngine:
                 self.clock.schedule_in(cost, w.try_start_iteration)
             else:
                 w.try_start_iteration()
-        self.compute_pool.prefetch()
 
     def _profiled(self):
         """Activate this engine's profiler (no-op context when unset)."""
@@ -806,10 +802,6 @@ class TrainingEngine:
     def finalize(self) -> RunResult:
         """Stop the run, take final accuracy samples, and close the books."""
         self.stopped = True
-        # Rewind speculation for events past the horizon *before* any
-        # final evaluation or accounting observes its side effects.
-        self.compute_pool.drain()
-        self.compute_pool.shutdown()
         # Final accuracy sample for every worker at the stop time.
         for w in range(self.n_workers):
             self.evaluate_worker(w)

@@ -99,7 +99,6 @@ class LiveEngine:
         metrics: MetricsRegistry | None = None,
         profile: bool = False,
         host: str = "127.0.0.1",
-        compute_threads: int = 1,
         handshake_timeout_s: float = 60.0,
         restart_budget: int = 0,
         restart_backoff_s: float = 0.5,
@@ -119,9 +118,6 @@ class LiveEngine:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.profile = profile
         self.host = host
-        if compute_threads < 1:
-            raise ValueError("compute_threads must be >= 1")
-        self.compute_threads = compute_threads
         if handshake_timeout_s <= 0:
             raise ValueError("handshake_timeout_s must be positive")
         self.handshake_timeout_s = float(handshake_timeout_s)
@@ -204,7 +200,6 @@ class LiveEngine:
             trace=self.tracer.enabled,
             profile=self.profile,
             host=self.host,
-            compute_threads=self.compute_threads,
             checkpoint=checkpoint,
             chaos=chaos,
             stderr_dir=self._stderr_dir,
@@ -212,18 +207,17 @@ class LiveEngine:
             shm_lanes=self.shm_lanes,
             shm_token=shm_token,
         )
-        if self.compute_threads > 1:
-            # The worker processes are the parallel compute stage here;
-            # pin each child's BLAS pool to one thread so W processes do
-            # not oversubscribe the machine W*cores-fold. Spawned
-            # children inherit the environment before their numpy import.
-            for var in (
-                "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS",
-                "OMP_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS",
-            ):
-                os.environ.setdefault(var, "1")
+        # The worker processes are the parallelism here; pin each
+        # child's BLAS pool to one thread so W processes do not
+        # oversubscribe the machine W*cores-fold. Spawned children
+        # inherit the environment before their numpy import.
+        for var in (
+            "OPENBLAS_NUM_THREADS",
+            "MKL_NUM_THREADS",
+            "OMP_NUM_THREADS",
+            "NUMEXPR_NUM_THREADS",
+        ):
+            os.environ.setdefault(var, "1")
         ctx = multiprocessing.get_context("spawn")
         children: dict[int, _Child] = {}
         try:

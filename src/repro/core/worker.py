@@ -40,7 +40,6 @@ from repro.core.dkt import DktState, merge_weights
 from repro.core.lbs_controller import LbsController, allocate_lbs
 from repro.core.sync import SyncState
 from repro.core.weighted_update import dynamic_batching_weight
-from repro.nn import workspace
 from repro.nn.datasets import MinibatchSampler
 from repro.nn.model import Model
 from repro.obs.trace import TID_CTRL, TID_DKT, TID_ITER, TID_SYNC
@@ -94,11 +93,6 @@ class Worker:
         self.computing = False
         self.waiting = False
         self.iteration = 0
-        # Bumped AFTER every write to the model replica (own update,
-        # peer gradient, DKT merge). The compute pool validates its
-        # speculative results against this counter; the bump-after-write
-        # discipline means a torn concurrent read can never be committed.
-        self.model_version = 0
 
         # Iteration-time estimate (EMA over measured durations), seeded
         # pessimistically until the first iteration completes.
@@ -272,19 +266,16 @@ class Worker:
 
     def _finish_iteration(self, batch: int, duration: float) -> None:
         self.computing = False
-        pool = self.engine.compute_pool
         if not self.active:
-            # The worker left mid-iteration; its result is discarded —
-            # including any speculative compute the pool had in flight.
-            pool.discard(self)
+            # The worker left mid-iteration; its result is discarded.
             return
         self._recent_iters.append((batch, duration))
         ema = self._iter_time_ema
         self._iter_time_ema = duration if ema is None else 0.8 * ema + 0.2 * duration
 
-        # Real gradient computation over the shard (Eq. 6) — inline in
-        # serial mode, or committed/replayed from the compute pool.
-        loss, grads = pool.collect(self, batch)
+        # Real gradient computation over the shard (Eq. 6).
+        xb, yb = self.sampler.draw(batch)
+        loss, grads = self.model.loss_and_grads(xb, yb)
         self.iteration += 1
         self.sync_state.iteration = self.iteration
         self.dkt.record_loss(loss)
@@ -311,7 +302,6 @@ class Worker:
         self.model.apply_grads(
             grads, lr=self.config.lr, coeff=1.0 / self._group_size()
         )
-        self.model_version += 1
 
         # enqueue: generate_partial_gradients + send_data (§4.2).
         self.enqueue(grads)
@@ -358,10 +348,6 @@ class Worker:
         else:
             self.try_start_iteration()
 
-        # With this worker's next completion now (possibly) scheduled,
-        # let the pool speculate on the upcoming wave of iterations.
-        pool.prefetch()
-
     # ------------------------------------------------------------------
     # Partial gradients generation + send_data
     # ------------------------------------------------------------------
@@ -381,20 +367,12 @@ class Worker:
 
     def _wrap_gradients(self, pg: PartialGradients) -> GradientMessage:
         """Wrap a planned payload in its wire message."""
-        dense = pg.payload if pg.kind == "dense" else None
-        if dense is not None and workspace.enabled():
-            # Dense payloads hold live references to layer gradient
-            # buffers; with the workspace path those buffers are reused
-            # by the sender's next step before the (delayed) delivery
-            # event fires, so the message must carry its own copy.
-            # Sparse payloads already copy via fancy indexing.
-            dense = {name: g.copy() for name, g in dense.items()}
         return GradientMessage(
             sender=self.worker_id,
             iteration=self.iteration,
             lbs=self.lbs,
             sparse=pg.payload if pg.kind == "sparse" else None,
-            dense=dense,
+            dense=pg.payload if pg.kind == "dense" else None,
         )
 
     def send_data(self, dst: int, pg: PartialGradients) -> None:
@@ -426,7 +404,6 @@ class Worker:
             self.model.apply_grads(msg.dense, lr=self.config.lr, coeff=coeff)
         elif msg.sparse:
             self.model.apply_sparse_grads(msg.sparse, lr=self.config.lr, coeff=coeff)
-        self.model_version += 1
         self.queues.pop_data()
         self.engine._g_queue_depth.set(
             self.queues.data_depth, self.worker_id, "data"
@@ -490,7 +467,6 @@ class Worker:
         merge_weights(
             self.model.variables(), msg.weights, self.config.dkt.merge_lambda
         )
-        self.model_version += 1
         self.dkt.merges_applied += 1
         self.engine.record_dkt_merge(self.worker_id)
         if self.tracer.enabled:

@@ -361,8 +361,8 @@ class RunSpec:
     seed: int = 0
     horizon: float | None = None  # defaults to the workload's scaled horizon
     config_overrides: dict = field(default_factory=dict)
-    # Threads for the engine's parallel compute stage. Results are
-    # byte-identical for any value, so sweeps may raise this freely.
+    # Vestigial: read only by perfbench/rep.py, which passes it on to
+    # TrainingEngine (which accepts only 1). Dropped with that caller.
     compute_threads: int = 1
     # Truncate the environment to its first N workers (None = all).
     n_workers: int | None = None
@@ -396,7 +396,6 @@ def run_experiment(
     engine = TrainingEngine(
         config, topo, seed=spec.seed,
         tracer=tracer, metrics=metrics, profiler=profiler,
-        compute_threads=spec.compute_threads,
         peer_graph=peer_graph,
     )
     horizon = spec.horizon if spec.horizon is not None else workload.horizon()

@@ -194,24 +194,8 @@ class MinibatchSampler:
 
     def draw(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
         """Sample a minibatch of the requested size from the shard."""
-        xb, yb = self.draw_uncounted(batch_size)
-        self.commit(batch_size)
-        return xb, yb
-
-    def draw_uncounted(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sample a minibatch without bumping ``samples_drawn``.
-
-        Used by the speculative compute pool: the RNG stream advances at
-        submission time (so one draw per iteration keeps the per-worker
-        stream order identical to serial execution) while the epoch
-        accounting is deferred to :meth:`commit` at the simulated
-        completion instant.
-        """
         if batch_size < 1:
             raise ValueError("batch size must be >= 1")
         idx = self.rng.integers(0, self.shard.size, size=batch_size)
-        return self.shard.x[idx], self.shard.y[idx]
-
-    def commit(self, batch_size: int) -> None:
-        """Count a previously drawn batch toward epoch progress."""
         self.samples_drawn += batch_size
+        return self.shard.x[idx], self.shard.y[idx]

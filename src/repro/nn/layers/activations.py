@@ -17,22 +17,13 @@ class ReLU(Layer):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        if training:
-            mask = self._buf("mask", x.shape, bool)
-            np.greater(x, 0, out=mask)
-            self._mask = mask
-        else:
-            self._mask = None
-        out = self._buf("out", x.shape, x.dtype)
-        np.maximum(x, 0.0, out=out)
-        return out
+        self._mask = x > 0 if training else None
+        return np.maximum(x, 0.0)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called without a training forward pass")
-        dx = self._buf("dx", dout.shape, dout.dtype)
-        np.multiply(dout, self._mask, out=dx)
-        return dx
+        return dout * self._mask
 
 
 class LeakyReLU(Layer):
@@ -46,21 +37,14 @@ class LeakyReLU(Layer):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        mask = self._buf("mask", x.shape, bool)
-        np.greater(x, 0, out=mask)
+        mask = x > 0
         self._mask = mask if training else None
-        out = self._buf("out", x.shape, x.dtype)
-        np.multiply(x, self.alpha, out=out)
-        np.copyto(out, x, where=mask)
-        return out
+        return np.where(mask, x, x * self.alpha)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called without a training forward pass")
-        dx = self._buf("dx", dout.shape, dout.dtype)
-        np.multiply(dout, self.alpha, out=dx)
-        np.copyto(dx, dout, where=self._mask)
-        return dx
+        return np.where(self._mask, dout, dout * self.alpha)
 
 
 class ReLU6(Layer):
@@ -71,22 +55,10 @@ class ReLU6(Layer):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        if training:
-            mask = self._buf("mask", x.shape, bool)
-            lower = self._buf("mask_lo", x.shape, bool)
-            np.less(x, 6.0, out=mask)
-            np.greater(x, 0, out=lower)
-            mask &= lower
-            self._mask = mask
-        else:
-            self._mask = None
-        out = self._buf("out", x.shape, x.dtype)
-        np.clip(x, 0.0, 6.0, out=out)
-        return out
+        self._mask = (x < 6.0) & (x > 0) if training else None
+        return np.clip(x, 0.0, 6.0)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called without a training forward pass")
-        dx = self._buf("dx", dout.shape, dout.dtype)
-        np.multiply(dout, self._mask, out=dx)
-        return dx
+        return dout * self._mask

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import workspace
-
 __all__ = ["Layer"]
 
 
@@ -28,26 +26,6 @@ class Layer:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self.name: str = type(self).__name__
-        # Scratch-buffer cache for the allocation-free hot path, keyed
-        # by (site, shape, dtype). Owned by this layer object only —
-        # see repro.nn.workspace for the aliasing rules.
-        self._ws: dict[tuple, np.ndarray] = {}
-
-    def _buf(self, site: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """An uninitialised scratch array, cached when the workspace is on.
-
-        The contents are whatever the previous step left behind; callers
-        must fully overwrite (or explicitly zero) the buffer. Distinct
-        ``site`` names within one layer never alias.
-        """
-        if not workspace.enabled():
-            return np.empty(shape, dtype=dtype)
-        key = (site, shape, np.dtype(dtype))
-        buf = self._ws.get(key)
-        if buf is None:
-            buf = np.empty(shape, dtype=dtype)
-            self._ws[key] = buf
-        return buf
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         """Compute the layer output; caches for backward when training."""

@@ -18,10 +18,8 @@ class BatchNorm(Layer):
     like TensorFlow's non-trainable variables.
 
     The running statistics are updated **in place** during training
-    forward passes so the arrays keep their identity — the compute
-    pool snapshots and restores them around speculative steps (see
-    ``Model.save_step_state``). Large per-step intermediates (``xhat``
-    and the gradient terms) live in cached workspace buffers.
+    forward passes, so the arrays keep their identity (checkpoint
+    restore copies into them).
     """
 
     def __init__(self, dim: int, *, momentum: float = 0.9, eps: float = 1e-5):
@@ -54,7 +52,6 @@ class BatchNorm(Layer):
         bs = self._bshape(x)
         gamma = self.params["gamma"].reshape(bs)
         beta = self.params["beta"].reshape(bs)
-        out = self._buf("out", x.shape, x.dtype if x.dtype.kind == "f" else np.float64)
         if training:
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
@@ -64,15 +61,14 @@ class BatchNorm(Layer):
             self.running_var *= m
             self.running_var += (1 - m) * var.astype(np.float32)
             inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat = self._buf("xhat", x.shape, out.dtype)
-            np.subtract(x, mean.reshape(bs), out=xhat)
+            xhat = x - mean.reshape(bs)
             xhat *= inv_std.reshape(bs)
-            self._cache = (xhat, inv_std, axes, bs, x.shape)
-            np.multiply(gamma, xhat, out=out)
+            self._cache = (xhat, inv_std, axes, bs)
+            out = gamma * xhat
             out += beta
             return out
         inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-        np.subtract(x, self.running_mean.reshape(bs), out=out)
+        out = x - self.running_mean.reshape(bs)
         out *= inv_std.reshape(bs)
         out *= gamma
         out += beta
@@ -81,27 +77,13 @@ class BatchNorm(Layer):
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called without a training forward pass")
-        xhat, inv_std, axes, bs, x_shape = self._cache
-        ggamma = self._buf("ggamma", (self.dim,), dout.dtype)
-        scratch = self._buf("prod", dout.shape, dout.dtype)
-        np.multiply(dout, xhat, out=scratch)
-        np.sum(scratch, axis=axes, out=ggamma)
-        self.grads["gamma"] = ggamma
-        gbeta = self._buf("gbeta", (self.dim,), dout.dtype)
-        np.sum(dout, axis=axes, out=gbeta)
-        self.grads["beta"] = gbeta
-        gamma = self.params["gamma"].reshape(bs)
-        dxhat = self._buf("dxhat", dout.shape, np.result_type(dout.dtype, gamma.dtype))
-        np.multiply(dout, gamma, out=dxhat)
-        # Standard batch-norm backward, fused form. The evaluation
-        # order matches the allocating expression
-        # ``(dxhat - dxhat.mean() - xhat * (dxhat*xhat).mean()) * inv_std``
-        # left to right, so both paths are bitwise identical.
-        term = self._buf("term", dout.shape, dxhat.dtype)
-        np.multiply(dxhat, xhat, out=term)
-        mean_dxhat_xhat = term.mean(axis=axes)
-        np.subtract(dxhat, dxhat.mean(axis=axes).reshape(bs), out=term)
-        np.multiply(xhat, mean_dxhat_xhat.reshape(bs), out=scratch)
-        term -= scratch
-        term *= inv_std.reshape(bs)
-        return term
+        xhat, inv_std, axes, bs = self._cache
+        self.grads["gamma"] = (dout * xhat).sum(axis=axes)
+        self.grads["beta"] = dout.sum(axis=axes)
+        dxhat = dout * self.params["gamma"].reshape(bs)
+        # Standard batch-norm backward.
+        return (
+            dxhat
+            - dxhat.mean(axis=axes).reshape(bs)
+            - xhat * (dxhat * xhat).mean(axis=axes).reshape(bs)
+        ) * inv_std.reshape(bs)

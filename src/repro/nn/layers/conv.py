@@ -3,14 +3,6 @@
 The im2col transform turns convolution into one large GEMM, the standard
 way to get vectorized-NumPy performance (see the hpc-parallel guide's
 "vectorize for loops" rule). Data layout is NCHW throughout.
-
-The layer's hot path is allocation-free in steady state: the padded
-input, the column matrix, the GEMM output, and every backward
-intermediate live in per-layer cached buffers (``Layer._buf``), with
-the im2col gather expressed as one strided-view ``copyto`` into a
-preallocated 6-D block whose flat 2-D reshape is the GEMM operand.
-The module-level :func:`im2col` / :func:`col2im` helpers keep their
-original allocating signatures for tests and external callers.
 """
 
 from __future__ import annotations
@@ -65,20 +57,15 @@ def col2im(
     kw: int,
     stride: int,
     pad: int,
-    *,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fold columns back into an image, accumulating overlaps (im2col adjoint).
 
-    ``out``, when given, must be a zeroed ``(N, C, H+2p, W+2p)`` buffer;
-    the unpadded result is returned (a view into ``out`` when padded).
+    When padded, the result is a view into the padded accumulator.
     """
     n, c, h, w = x_shape
     oh = _out_size(h, kh, stride, pad)
     ow = _out_size(w, kw, stride, pad)
-    hp, wp = h + 2 * pad, w + 2 * pad
-    if out is None:
-        out = np.zeros((n, c, hp, wp), dtype=cols.dtype)
+    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
     cols6 = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
     for i in range(kh):
         i_max = i + stride * oh
@@ -115,66 +102,32 @@ class Conv2D(Layer):
         }
         self._cache: tuple | None = None
 
-    def _cols(self, x: np.ndarray) -> tuple[np.ndarray, int, int]:
-        """im2col into a cached buffer; returns (cols, OH, OW)."""
-        n, c, h, w = x.shape
-        k, s, p = self.k, self.stride, self.pad
-        oh = _out_size(h, k, s, p)
-        ow = _out_size(w, k, s, p)
-        if oh <= 0 or ow <= 0:
-            raise ValueError(f"kernel {k}x{k} too large for input {h}x{w} (pad={p})")
-        if p > 0:
-            xp = self._buf("xpad", (n, c, h + 2 * p, w + 2 * p), x.dtype)
-            xp[...] = 0.0
-            xp[:, :, p:-p, p:-p] = x
-            x = xp
-        view = _window_view(x, k, k, s, oh, ow)
-        cols6 = self._buf("cols6", (n, oh, ow, c, k, k), x.dtype)
-        np.copyto(cols6, view.transpose(0, 4, 5, 1, 2, 3))
-        return cols6.reshape(n * oh * ow, c * k * k), oh, ow
-
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_c:
             raise ValueError(f"Conv2D expected (N,{self.in_c},H,W), got {x.shape}")
         n = x.shape[0]
-        cols, oh, ow = self._cols(x)
+        k = self.k
+        cols, (oh, ow) = im2col(x, k, k, self.stride, self.pad)
         wmat = self.params["W"].reshape(self.out_c, -1)  # (out_c, in_c*k*k)
-        dtype = np.result_type(cols.dtype, wmat.dtype)
-        outf = self._buf("outf", (n * oh * ow, self.out_c), dtype)
-        np.matmul(cols, wmat.T, out=outf)
+        outf = cols @ wmat.T
         outf += self.params["b"]
-        out = self._buf("out", (n, self.out_c, oh, ow), dtype)
-        np.copyto(out, outf.reshape(n, oh, ow, self.out_c).transpose(0, 3, 1, 2))
         self._cache = (x.shape, cols) if training else None
-        return out
+        return np.ascontiguousarray(
+            outf.reshape(n, oh, ow, self.out_c).transpose(0, 3, 1, 2)
+        )
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called without a training forward pass")
         x_shape, cols = self._cache
         n, _, oh, ow = dout.shape
-        k, s, p = self.k, self.stride, self.pad
-        dflat = self._buf("dflat", (n * oh * ow, self.out_c), dout.dtype)
-        np.copyto(
-            dflat.reshape(n, oh, ow, self.out_c), dout.transpose(0, 2, 3, 1)
+        k = self.k
+        dflat = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(
+            n * oh * ow, self.out_c
         )
         w = self.params["W"]
         wmat = w.reshape(self.out_c, -1)
-        gw = self._buf("gW", w.shape, np.result_type(dflat.dtype, cols.dtype))
-        np.matmul(dflat.T, cols, out=gw.reshape(self.out_c, -1))
-        self.grads["W"] = gw
-        gb = self._buf("gb", (self.out_c,), dflat.dtype)
-        np.sum(dflat, axis=0, out=gb)
-        self.grads["b"] = gb
-        dtype = np.result_type(dflat.dtype, wmat.dtype)
-        dcols = self._buf("dcols", cols.shape, dtype)
-        np.matmul(dflat, wmat, out=dcols)
-        h, wdim = x_shape[2], x_shape[3]
-        acc = self._buf("c2i", (n, self.in_c, h + 2 * p, wdim + 2 * p), dtype)
-        acc[...] = 0.0
-        dx_padded = col2im(dcols, x_shape, k, k, s, p, out=acc)
-        if p == 0:
-            return dx_padded
-        dx = self._buf("dx", x_shape, dtype)
-        np.copyto(dx, dx_padded)
-        return dx
+        self.grads["W"] = (dflat.T @ cols).reshape(w.shape)
+        self.grads["b"] = dflat.sum(axis=0)
+        dx = col2im(dflat @ wmat, x_shape, k, k, self.stride, self.pad)
+        return np.ascontiguousarray(dx)

@@ -158,43 +158,6 @@ class Model:
             np.subtract.at(flat, idx, (lr * coeff) * vals)
 
     # ------------------------------------------------------------------
-    # Step-state snapshot (speculative execution support)
-    # ------------------------------------------------------------------
-    def save_step_state(self) -> list[tuple]:
-        """Snapshot state a *training forward* mutates besides caches.
-
-        A speculative ``loss_and_grads`` that is later discarded must
-        leave the model exactly as it found it. Parameters are only
-        written by explicit update calls (never by the step itself), so
-        the snapshot covers the two stateful side effects: BatchNorm
-        running statistics and Dropout's RNG stream position.
-        """
-        saved: list[tuple] = []
-        for layer in self.layers:
-            mean = getattr(layer, "running_mean", None)
-            if isinstance(mean, np.ndarray):
-                saved.append(("bn", layer, mean.copy(), layer.running_var.copy()))
-            rng = getattr(layer, "rng", None)
-            if isinstance(rng, np.random.Generator):
-                saved.append(("rng", layer, rng.bit_generator.state))
-        return saved
-
-    def restore_step_state(self, saved: list[tuple]) -> None:
-        """Undo a speculative step recorded by :meth:`save_step_state`.
-
-        Arrays are restored in place (identity preserved); RNG streams
-        are rewound to their saved position.
-        """
-        for entry in saved:
-            if entry[0] == "bn":
-                _, layer, mean, var = entry
-                np.copyto(layer.running_mean, mean)
-                np.copyto(layer.running_var, var)
-            else:
-                _, layer, state = entry
-                layer.rng.bit_generator.state = state
-
-    # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
     def evaluate(
@@ -211,7 +174,7 @@ class Model:
                 xb = x[start:start + batch]
                 yb = labels[start:start + batch]
                 logits = self.forward(xb, training=False)
-                loss, _ = softmax_cross_entropy(logits.copy(), yb)
+                loss, _ = softmax_cross_entropy(logits, yb)
                 total_loss += loss * xb.shape[0]
                 correct += int((logits.argmax(axis=1) == yb).sum())
             return total_loss / n, correct / n

@@ -23,11 +23,11 @@ region with::
     print(prof.report())
 
 The active profiler lives in a :class:`contextvars.ContextVar`, so
-scopes entered on the compute pool's worker threads attribute to the
-profiler of the context captured at task-submission time (the pool
-submits tasks through :func:`contextvars.copy_context`) instead of
-racing on a module global. Recording itself takes a lock, since pool
-threads and the event loop record scopes concurrently.
+scopes entered in a copied context (an asyncio task, or a thread
+started through :func:`contextvars.copy_context`) attribute to the
+profiler of the context they were started from instead of racing on a
+module global. Recording itself takes a lock, since threads may record
+scopes concurrently.
 
 Scope **totals** are inclusive: a scope's total contains any scopes
 entered beneath it on the same thread. Each scope additionally tracks
@@ -35,11 +35,11 @@ its **self** (exclusive) time — total minus the time spent in child
 scopes — so ``simclock/dispatch`` can report pure dispatch overhead
 separate from the nn/ and maxn/ work running inside event callbacks.
 Parent/child nesting is tracked per *thread* (``threading.local``), not
-per context: the compute pool copies the submission context onto its
-threads, and a ContextVar stack would alias one frame list across
-threads. A scope running on a pool thread is a root on that thread, so
-speculated nn/ work does not subtract from the event loop's dispatch
-self time — correct, since dispatch never blocked on it.
+per context: a context copied onto several threads would make a
+ContextVar stack alias one frame list across them. A scope running on
+another thread is a root on that thread, so its time does not subtract
+from the event loop's dispatch self time — correct, since dispatch
+never blocked on it.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ class _NullScope:
 _NULL_SCOPE = _NullScope()
 
 # The active profiler for the *current context*. A ContextVar (not a
-# module global) so a context copied at compute-pool submission time
-# carries the profiler onto the pool thread, and nested ``activate``
+# module global) so a copied context carries the profiler onto another
+# thread or asyncio task, and nested ``activate``
 # blocks restore the previous profiler on exit.
 _active: ContextVar["Profiler | None"] = ContextVar("repro_active_profiler", default=None)
 
@@ -103,8 +103,8 @@ class Profiler:
     def __init__(self) -> None:
         # name -> [calls, total_seconds, child_seconds]
         self._totals: dict[str, list] = {}
-        # Recording is a read-modify-write; compute-pool threads record
-        # nn/* scopes concurrently with the event loop's scopes.
+        # Recording is a read-modify-write; other threads may record
+        # scopes concurrently with the event loop's.
         self._lock = threading.Lock()
         # Per-thread stack of open frames for parent/child attribution.
         self._frames = threading.local()

@@ -27,8 +27,7 @@ SIZE_SLACK_PER_VAR`` (and control-type frames match exactly). The
 tier-1 property tests enforce the bound, so Max-N link budgets computed
 from the estimates stay honest on real sockets.
 
-Allocation discipline (mirrors the workspace buffers PR 5 brought to
-``nn/``): :func:`encode_into` computes the exact frame size first, then
+Allocation discipline: :func:`encode_into` computes the exact frame size first, then
 writes header, prefixes, names, and ndarray payloads straight into a
 reusable :class:`FrameBuffer` with ``struct.pack_into`` and
 ``np.copyto`` into ``np.frombuffer`` views — no ``tobytes()`` copies,
@@ -37,6 +36,10 @@ bytes are bit-identical to the historical list-of-parts encoder.
 Decode hands back read-only ``np.frombuffer`` views into the received
 body wherever the wire dtype allows (little-endian hosts), instead of
 ``.astype`` copies; all consumers treat received arrays as immutable.
+
+Decoding is strict: a body must be consumed exactly (control bodies may
+end in their zero padding, nothing else), and every failure — including
+a message field the dataclass rejects — surfaces as :class:`CodecError`.
 """
 
 from __future__ import annotations
@@ -449,7 +452,7 @@ def _decode_name(body: bytes, offset: int) -> tuple[str, int]:
     return raw.decode("utf-8"), offset
 
 
-def _decode_sparse_vars(body: bytes, offset: int, n_vars: int) -> dict:
+def _decode_sparse_vars(body: bytes, offset: int, n_vars: int) -> tuple[dict, int]:
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for _ in range(n_vars):
         name, offset = _decode_name(body, offset)
@@ -458,10 +461,10 @@ def _decode_sparse_vars(body: bytes, offset: int, n_vars: int) -> dict:
         idx, offset = _view(body, offset, count, "<u4")
         vals, offset = _view(body, offset, count, "<f4")
         out[name] = (idx, vals)
-    return out
+    return out, offset
 
 
-def _decode_dense_vars(body: bytes, offset: int, n_vars: int) -> dict:
+def _decode_dense_vars(body: bytes, offset: int, n_vars: int) -> tuple[dict, int]:
     out: dict[str, np.ndarray] = {}
     for _ in range(n_vars):
         name, offset = _decode_name(body, offset)
@@ -476,29 +479,31 @@ def _decode_dense_vars(body: bytes, offset: int, n_vars: int) -> dict:
             count *= d
         arr, offset = _view(body, offset, count, "<f4")
         out[name] = arr.reshape(shape)
-    return out
+    return out, offset
+
+
+def _expect_end(body: bytes, offset: int) -> None:
+    if offset != len(body):
+        raise CodecError(f"{len(body) - offset} trailing bytes after offset {offset}")
 
 
 def _decode_gradient(body: bytes):
     sender, iteration, lbs, kind, n_vars = _GRAD_PREFIX.unpack_from(body)
-    offset = _GRAD_PREFIX.size
+    decode = _decode_sparse_vars if kind == 0 else _decode_dense_vars
+    payload, offset = decode(body, _GRAD_PREFIX.size, n_vars)
+    _expect_end(body, offset)
     if kind == 0:
         return GradientMessage(
-            sender=sender, iteration=iteration, lbs=lbs,
-            sparse=_decode_sparse_vars(body, offset, n_vars),
+            sender=sender, iteration=iteration, lbs=lbs, sparse=payload
         )
-    return GradientMessage(
-        sender=sender, iteration=iteration, lbs=lbs,
-        dense=_decode_dense_vars(body, offset, n_vars),
-    )
+    return GradientMessage(sender=sender, iteration=iteration, lbs=lbs, dense=payload)
 
 
 def _decode_weights(body: bytes):
     sender, iteration, n_vars = _WEIGHT_PREFIX.unpack_from(body)
-    return WeightMessage(
-        sender=sender, iteration=iteration,
-        weights=_decode_dense_vars(body, _WEIGHT_PREFIX.size, n_vars),
-    )
+    weights, offset = _decode_dense_vars(body, _WEIGHT_PREFIX.size, n_vars)
+    _expect_end(body, offset)
+    return WeightMessage(sender=sender, iteration=iteration, weights=weights)
 
 
 def _decode_control(body: bytes):
@@ -507,6 +512,9 @@ def _decode_control(body: bytes):
     raw, offset = _take(body, offset, kind_len)
     kind = raw.decode("utf-8")
     raw, offset = _take(body, offset, payload_len)
+    # The encoder zero-pads short bodies to the fixed control size.
+    if len(body) != max(offset, _CONTROL_BODY_BYTES) or any(body[offset:]):
+        raise CodecError(f"bad padding after offset {offset}")
     return ControlMessage(sender=sender, kind=kind, payload=json.loads(raw))
 
 
@@ -531,7 +539,11 @@ def decode_body(msg_type: int, body: bytes):
         raise CodecError(f"unknown message type {msg_type}")
     try:
         return decoder(body)
-    except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except CodecError:
+        raise
+    except (struct.error, ValueError) as exc:
+        # ValueError covers UnicodeDecodeError, JSONDecodeError and the
+        # message dataclasses' own field validation (e.g. ``lbs >= 1``).
         raise CodecError(f"malformed body for type {msg_type}: {exc}") from exc
 
 

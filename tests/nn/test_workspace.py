@@ -1,199 +1,18 @@
-"""Workspace (allocation-free) path: parity, in-place SGD, allocations.
+"""Update-step buffers and dtype discipline of the NN path.
 
-The buffer-reusing hot path must be *bitwise* identical to the
-allocating path — same kernels, same operand order, only the output
-arrays' provenance differs. These tests compare the two paths layer by
-layer under hypothesis-generated inputs (dtypes, odd shapes, zero-size
-batches), check the in-place optimizer against the textbook allocating
-formulas, and pin the headline property: a steady-state training step
-performs no net NumPy allocations.
+The optimizer writes its update through cached weight-shaped scratch
+arrays; these tests check it against the textbook allocating formulas,
+bit for bit, and pin that the paper's workloads train in float32
+end to end.
 """
 
 from __future__ import annotations
 
-import gc
-import tracemalloc
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.nn import workspace
-from repro.nn.layers.activations import LeakyReLU, ReLU, ReLU6
-from repro.nn.layers.batchnorm import BatchNorm
-from repro.nn.layers.conv import Conv2D
-from repro.nn.layers.dense import Dense
-from repro.nn.layers.pool import AvgPool2D, GlobalAvgPool2D, MaxPool2D
 from repro.nn.models import build_model
 from repro.nn.optim import SGD
-
-F_DTYPES = (np.float32, np.float64)
-
-
-def _data(rng: np.random.Generator, shape, dtype) -> np.ndarray:
-    return rng.standard_normal(size=shape).astype(dtype)
-
-
-def _run_step(layer, x, dout):
-    """One forward/backward pair; results copied out of any shared buffers."""
-    out = layer.forward(x, training=True)
-    dx = layer.backward(dout)
-    return out.copy(), dx.copy(), {k: g.copy() for k, g in layer.grads.items()}
-
-
-def _assert_layer_parity(factory, x, dout):
-    """The workspace and allocating paths must agree bit for bit.
-
-    ``factory`` builds a fresh, identically-initialised layer per call
-    (seeded rng inside), so the two runs share nothing but the inputs.
-    """
-    ws_layer = factory()
-    assert workspace.enabled(), "tests assume the default workspace-on state"
-    got_ws = _run_step(ws_layer, x, dout)
-    with workspace.disabled():
-        ref_layer = factory()
-        got_ref = _run_step(ref_layer, x, dout)
-    for ws_arr, ref_arr in zip(got_ws[:2], got_ref[:2]):
-        assert ws_arr.dtype == ref_arr.dtype
-        np.testing.assert_array_equal(ws_arr, ref_arr)
-    assert got_ws[2].keys() == got_ref[2].keys()
-    for name in got_ref[2]:
-        np.testing.assert_array_equal(got_ws[2][name], got_ref[2][name])
-    return ws_layer, ref_layer
-
-
-class TestLayerParity:
-    """Bitwise workspace-on vs workspace-off equality per layer."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        batch=st.integers(0, 6),
-        in_dim=st.integers(1, 9),
-        out_dim=st.integers(1, 7),
-        dtype=st.sampled_from(F_DTYPES),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    def test_dense(self, batch, in_dim, out_dim, dtype, seed):
-        rng = np.random.default_rng(seed)
-        x = _data(rng, (batch, in_dim), dtype)
-        res_dtype = np.result_type(dtype, np.float32)
-        dout = _data(rng, (batch, out_dim), res_dtype)
-        _assert_layer_parity(
-            lambda: Dense(in_dim, out_dim, np.random.default_rng(seed)), x, dout
-        )
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        shape=st.tuples(st.integers(0, 5), st.integers(1, 7)),
-        dtype=st.sampled_from(F_DTYPES),
-        kind=st.sampled_from(["relu", "relu6", "leaky"]),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    def test_activations(self, shape, dtype, kind, seed):
-        factory = {
-            "relu": ReLU,
-            "relu6": ReLU6,
-            "leaky": lambda: LeakyReLU(0.1),
-        }[kind]
-        rng = np.random.default_rng(seed)
-        # Scale up so ReLU6's upper clamp is actually exercised.
-        x = (_data(rng, shape, dtype) * 4).astype(dtype)
-        dout = _data(rng, shape, dtype)
-        _assert_layer_parity(factory, x, dout)
-
-    @settings(max_examples=12, deadline=None)
-    @given(
-        n=st.integers(1, 3),
-        in_c=st.integers(1, 2),
-        out_c=st.integers(1, 3),
-        hw=st.integers(3, 6),
-        kernel=st.integers(1, 3),
-        stride=st.integers(1, 2),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    def test_conv2d(self, n, in_c, out_c, hw, kernel, stride, seed):
-        rng = np.random.default_rng(seed)
-        x = _data(rng, (n, in_c, hw, hw), np.float32)
-
-        def factory():
-            return Conv2D(
-                in_c, out_c, kernel, np.random.default_rng(seed), stride=stride
-            )
-
-        out_shape = factory().forward(x, training=False).shape
-        dout = _data(rng, out_shape, np.float32)
-        _assert_layer_parity(factory, x, dout)
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        n=st.integers(1, 3),
-        c=st.integers(1, 3),
-        half=st.integers(1, 3),
-        dtype=st.sampled_from(F_DTYPES),
-        kind=st.sampled_from(["max", "avg", "global"]),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    def test_pools(self, n, c, half, dtype, kind, seed):
-        rng = np.random.default_rng(seed)
-        h = w = 2 * half
-        x = _data(rng, (n, c, h, w), dtype)
-        if kind == "global":
-            factory = GlobalAvgPool2D
-            dout = _data(rng, (n, c), dtype)
-        else:
-            factory = MaxPool2D if kind == "max" else AvgPool2D
-            dout = _data(rng, (n, c, half, half), dtype)
-        _assert_layer_parity(factory, x, dout)
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        batch=st.integers(1, 6),
-        dim=st.integers(1, 5),
-        spatial=st.one_of(st.none(), st.integers(1, 4)),
-        dtype=st.sampled_from(F_DTYPES),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    def test_batchnorm(self, batch, dim, spatial, dtype, seed):
-        rng = np.random.default_rng(seed)
-        shape = (batch, dim) if spatial is None else (batch, dim, spatial, spatial)
-        x = _data(rng, shape, dtype)
-        res_dtype = x.dtype if x.dtype.kind == "f" else np.float64
-        dout = _data(rng, shape, res_dtype)
-        ws_layer, ref_layer = _assert_layer_parity(lambda: BatchNorm(dim), x, dout)
-        # The in-place running-statistics update must also match.
-        np.testing.assert_array_equal(ws_layer.running_mean, ref_layer.running_mean)
-        np.testing.assert_array_equal(ws_layer.running_var, ref_layer.running_var)
-
-    def test_full_model_training_matches_allocating_path(self):
-        """Three loss_and_grads + apply_grads steps on identically-seeded
-        MLPs: losses, gradients, and final weights all bitwise equal."""
-        rng = np.random.default_rng(11)
-        xb = rng.standard_normal(size=(16, 36)).astype(np.float32)
-        yb = rng.integers(0, 10, size=16)
-
-        def train(path_ws: bool):
-            model = build_model(
-                "mlp", np.random.default_rng(7), in_dim=36, hidden=(12, 8)
-            )
-            losses, grad_dumps = [], []
-            for _ in range(3):
-                loss, grads = model.loss_and_grads(xb, yb)
-                losses.append(loss)
-                grad_dumps.append({n: g.copy() for n, g in grads.items()})
-                model.apply_grads(grads, lr=0.05)
-            weights = model.copy_weights()
-            return losses, grad_dumps, weights
-
-        ws_out = train(True)
-        with workspace.disabled():
-            ref_out = train(False)
-        assert ws_out[0] == ref_out[0]  # float losses, exact
-        for g_ws, g_ref in zip(ws_out[1], ref_out[1]):
-            for name in g_ref:
-                np.testing.assert_array_equal(g_ws[name], g_ref[name])
-        for name in ref_out[2]:
-            np.testing.assert_array_equal(ws_out[2][name], ref_out[2][name])
 
 
 class TestSgdInPlaceParity:
@@ -258,70 +77,6 @@ class TestSgdInPlaceParity:
             np.testing.assert_array_equal(
                 model.get_variable(name), ref.get_variable(name)
             )
-
-
-class TestAllocationFree:
-    def test_steady_state_training_step_allocates_nothing(self):
-        """After warmup, repeated steps must not grow traced memory.
-
-        The bound tolerates only the small per-step temporaries the loss
-        head creates (softmax probabilities for a 16x10 logit block plus
-        reduction scalars) — any leaked layer-sized array would blow
-        straight through it.
-        """
-        model = build_model("mlp", np.random.default_rng(0), in_dim=576, hidden=(32,))
-        opt = SGD(model, lr=0.05, momentum=0.9, clip_norm=1.0)
-        rng = np.random.default_rng(1)
-        xb = rng.standard_normal(size=(16, 576)).astype(np.float32)
-        yb = rng.integers(0, 10, size=16)
-
-        def step():
-            _, grads = model.loss_and_grads(xb, yb)
-            opt.step(grads)
-
-        for _ in range(3):  # populate every buffer cache
-            step()
-        gc.collect()
-        tracemalloc.start()
-        try:
-            base, _ = tracemalloc.get_traced_memory()
-            for _ in range(5):
-                step()
-            gc.collect()
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # No net growth across five steps beyond interpreter noise...
-        assert current - base < 16_384, f"leaked {current - base} bytes over 5 steps"
-        # ...and transient allocations stay in loss-head territory: far
-        # below one (16, 576) float32 activation (36 KB).
-        assert peak - base < 32_768, f"per-step temporaries peaked at {peak - base}"
-
-    def test_buffers_cached_only_when_enabled(self):
-        layer = ReLU()
-        a = layer._buf("x", (3, 4), np.float32)
-        b = layer._buf("x", (3, 4), np.float32)
-        assert a is b
-        c = layer._buf("x", (3, 4), np.float64)  # dtype is part of the key
-        assert c is not a
-        with workspace.disabled():
-            d = layer._buf("x", (3, 4), np.float32)
-            e = layer._buf("x", (3, 4), np.float32)
-            assert d is not e and d is not a
-        assert layer._buf("x", (3, 4), np.float32) is a
-
-    def test_set_enabled_returns_previous_and_disabled_restores(self):
-        assert workspace.enabled()
-        prev = workspace.set_enabled(False)
-        try:
-            assert prev is True
-            assert not workspace.enabled()
-            with workspace.disabled():
-                assert not workspace.enabled()
-            assert not workspace.enabled()  # restored to *previous*, still off
-        finally:
-            workspace.set_enabled(True)
-        assert workspace.enabled()
 
 
 class TestFloat32Discipline:

@@ -1,8 +1,8 @@
 """Golden scheduler parity: calendar queue vs heap, byte-for-byte.
 
 The calendar-queue scheduler is required to be *observationally
-invisible*: swapping ``REPRO_SIMCLOCK`` between ``heap`` (the frozen
-original) and ``calendar`` under an otherwise identical engine must
+invisible*: injecting the frozen binary heap (``tests/oracles``) or the
+calendar queue as the ``clock`` of an otherwise identical engine must
 reproduce the exact same Chrome trace bytes and full metric dumps on
 the Table 3 presets — and on sparse-overlay runs (ring, k-regular),
 whose degree-scaled engine paths ride the same determinism contract.
@@ -17,23 +17,34 @@ import json
 
 import pytest
 
-from repro.experiments.runner import RunSpec, run_experiment
+from repro.cluster.peergraph import PeerGraph
+from repro.cluster.simclock import SimClock
+from repro.core.engine import TrainingEngine
+from repro.experiments.environments import get_environment
+from repro.experiments.runner import build_config, build_topology, workload_for
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
+from tests.oracles.heap_simclock import HeapSimClock
+
+CLOCKS = {"heap": HeapSimClock, "calendar": SimClock}
 
 
-def _golden_run(environment, overlay, kind, monkeypatch, horizon):
-    monkeypatch.setenv("REPRO_SIMCLOCK", kind)
+def _golden_run(environment, overlay, kind, horizon):
+    """One seeded dlion run (as ``run_experiment`` builds it) on ``kind``."""
     tracer = Tracer()
     metrics = MetricsRegistry()
-    spec = RunSpec(
-        environment=environment,
-        system="dlion",
-        seed=3,
-        horizon=horizon,
-        overlay=overlay,
+    env = get_environment(environment)
+    workload = workload_for(env)
+    topo = build_topology(env, workload)
+    peer_graph = (
+        PeerGraph.from_spec(overlay, topo.n_workers) if overlay is not None else None
     )
-    result = run_experiment(spec, tracer=tracer, metrics=metrics)
+    engine = TrainingEngine(
+        build_config("dlion", workload), topo, seed=3,
+        tracer=tracer, metrics=metrics, peer_graph=peer_graph,
+        clock=CLOCKS[kind](),
+    )
+    result = engine.run(horizon)
     metric_dump = json.dumps(metrics.to_dict(), sort_keys=True, default=str)
     return result, tracer.dumps(), metric_dump
 
@@ -56,14 +67,12 @@ class TestSchedulerParity:
         "environment,overlay,horizon", CONFIGS,
         ids=[f"{e}{'+' + o if o else ''}" for e, o, _ in CONFIGS],
     )
-    def test_heap_vs_calendar_byte_identical(
-        self, environment, overlay, horizon, monkeypatch
-    ):
+    def test_heap_vs_calendar_byte_identical(self, environment, overlay, horizon):
         r_heap, trace_heap, metrics_heap = _golden_run(
-            environment, overlay, "heap", monkeypatch, horizon
+            environment, overlay, "heap", horizon
         )
         r_cal, trace_cal, metrics_cal = _golden_run(
-            environment, overlay, "calendar", monkeypatch, horizon
+            environment, overlay, "calendar", horizon
         )
         assert trace_heap == trace_cal
         assert metrics_heap == metrics_cal
@@ -72,8 +81,8 @@ class TestSchedulerParity:
 
     @pytest.mark.parametrize("environment,overlay",
                              [("Hetero NET A", None), ("Homo B", "kregular:3")])
-    def test_rerun_byte_identical(self, environment, overlay, monkeypatch):
-        one = _golden_run(environment, overlay, "calendar", monkeypatch, 12.0)
-        two = _golden_run(environment, overlay, "calendar", monkeypatch, 12.0)
+    def test_rerun_byte_identical(self, environment, overlay):
+        one = _golden_run(environment, overlay, "calendar", 12.0)
+        two = _golden_run(environment, overlay, "calendar", 12.0)
         assert one[1] == two[1]  # trace bytes
         assert one[2] == two[2]  # metric dump

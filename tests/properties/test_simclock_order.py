@@ -2,7 +2,8 @@
 
 Random interleavings of ``schedule`` / ``schedule_in`` / ``cancel`` /
 ``run_until`` / ``run`` are applied to a :class:`SimClock` (calendar
-queue) and a :class:`HeapSimClock` (the frozen original) in lockstep.
+queue) and a :class:`HeapSimClock` (the frozen original, kept in
+``tests/oracles``) in lockstep.
 After every operation the two clocks must agree on the firing log
 (which callbacks fired, in what order, at what ``now``), the ``now``
 trajectory, ``events_processed``, ``pending()``, and ``peek_time()``.
@@ -18,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.simclock import Event, HeapSimClock, SimClock
+from repro.cluster.simclock import Event, SimClock
+from tests.oracles.heap_simclock import HeapSimClock
 
 # A coarse grid makes equal timestamps (and horizons landing exactly on
 # event times) common instead of measure-zero.

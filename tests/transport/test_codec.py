@@ -248,6 +248,48 @@ class TestValidation:
         with pytest.raises(CodecError):
             decode_message(hdr + body)
 
+    @staticmethod
+    def _reframe(frame: bytes, body: bytes) -> bytes:
+        """``frame``'s message type around a replacement body."""
+        from repro.transport.codec import FRAME_HEADER
+
+        msg_type = frame[3]
+        return FRAME_HEADER.pack(MAGIC, VERSION, msg_type, len(body)) + body
+
+    @pytest.mark.parametrize("kind", ["sparse", "dense", "weights", "control"])
+    def test_trailing_bytes_rejected(self, kind):
+        """Unconsumed bytes after a variable-length body are an error."""
+        idx = np.arange(4, dtype=np.int64)
+        vals = np.ones(4, dtype=np.float32)
+        msg = {
+            "sparse": GradientMessage(sender=0, iteration=1, lbs=32, sparse={"w": (idx, vals)}),
+            "dense": GradientMessage(sender=0, iteration=1, lbs=32, dense={"w": vals}),
+            "weights": WeightMessage(sender=0, iteration=1, weights={"w": vals}),
+            "control": ControlMessage(sender=0, kind="go", payload={"x": 1}),
+        }[kind]
+        frame = encode_message(msg)
+        body = frame[FRAME_HEADER_BYTES:]
+        with pytest.raises(CodecError, match="trailing|padding"):
+            decode_message(self._reframe(frame, body + b"\xde\xad\xbe\xef"))
+        if kind == "control":
+            # Zero padding is allowed only up to the fixed control size.
+            with pytest.raises(CodecError, match="padding"):
+                decode_message(self._reframe(frame, body + bytes(4)))
+            # Garbage where the zero padding belongs.
+            with pytest.raises(CodecError, match="padding"):
+                decode_message(self._reframe(frame, body[:-1] + b"\x01"))
+
+    def test_invalid_field_raises_codec_error(self):
+        """A field the message rejects (``lbs=0``) is a CodecError, not a
+        bare ValueError escaping from the dataclass."""
+        from repro.transport.codec import _GRAD_PREFIX
+
+        msg = GradientMessage(sender=0, iteration=1, lbs=32, dense={"w": np.ones(3, dtype=np.float32)})
+        frame = bytearray(encode_message(msg))
+        _GRAD_PREFIX.pack_into(frame, FRAME_HEADER_BYTES, 0, 1, 0, 1, 1)
+        with pytest.raises(CodecError, match="lbs"):
+            decode_message(bytes(frame))
+
     def test_misaligned_sparse_rejected(self):
         msg = GradientMessage(
             sender=0,
@@ -334,7 +376,7 @@ class TestBufferPaths:
     def test_encode_steady_state_allocates_nothing(self):
         """After warmup, re-encoding into a pooled buffer must not grow
         traced memory: the zero-copy claim, machine-checked (same idiom
-        as tests/nn/test_workspace.py for the compute workspace)."""
+        as tests/nn/test_step_memory.py for the training step)."""
         import gc
         import tracemalloc
 
