@@ -13,8 +13,13 @@ class MaxPool2D(Layer):
     """Non-overlapping max pooling with window = stride = ``size``.
 
     Input spatial dims must be divisible by ``size`` (the models in this
-    repo are constructed so that they are), which lets the forward pass
-    be a pure reshape + reduce — no im2col needed.
+    repo are constructed so that they are). The window's ``size * size``
+    elements are the strided taps ``x[:, :, i::s, j::s]``; the forward
+    pass folds them with ``np.maximum`` in row-major tap order, which
+    reproduces ``reshape(...).max(axis=(3, 5))`` byte for byte at
+    ``size=2``. Each window's gradient goes to its first maximum in
+    row-major order, or to its first NaN, exactly as ``argmax`` would
+    route it.
     """
 
     def __init__(self, size: int = 2):
@@ -24,23 +29,40 @@ class MaxPool2D(Layer):
         self.size = size
         self._cache: tuple | None = None
 
+    def _taps(self, a: np.ndarray) -> list[np.ndarray]:
+        s = self.size
+        return [a[:, :, i::s, j::s] for i in range(s) for j in range(s)]
+
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        n, c, h, w = x.shape
+        _, _, h, w = x.shape
         s = self.size
         if h % s or w % s:
             raise ValueError(f"input {h}x{w} not divisible by pool size {s}")
-        xr = x.reshape(n, c, h // s, s, w // s, s)
-        out = xr.max(axis=(3, 5))
+        taps = self._taps(x)
+        out = np.maximum(taps[0], taps[1])
+        for tap in taps[2:]:
+            np.maximum(out, tap, out=out)
         if training:
-            # Route each window's gradient to the (first) argmax. The
-            # window axes (3, 5) are brought together before flattening
-            # so ties break toward a single element and gradients are
-            # never double-counted.
-            flat = xr.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // s, w // s, s * s)
-            first = flat.argmax(axis=-1)
-            mask = np.zeros(flat.shape, dtype=bool)
-            np.put_along_axis(mask, first[..., None], True, axis=-1)
-            self._cache = (x.shape, mask)
+            # One mask per tap: a tap takes the windows where it equals
+            # the max and no earlier tap did (``free`` holds the windows
+            # not yet taken), so ties break toward a single element and
+            # gradients are never double-counted.
+            masks = [taps[0] == out]
+            free = ~masks[0]
+            for tap in taps[1:]:
+                m = tap == out
+                m &= free
+                free ^= m
+                masks.append(m)
+            if free.any():
+                # Only a NaN window is left (NaN != NaN): route it to its
+                # first NaN tap.
+                for m, tap in zip(masks, taps):
+                    nan = tap != tap
+                    nan &= free
+                    m |= nan
+                    free ^= nan
+            self._cache = (x.shape, masks)
         else:
             self._cache = None
         return out
@@ -48,15 +70,11 @@ class MaxPool2D(Layer):
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called without a training forward pass")
-        x_shape, mask = self._cache
-        n, c, h, w = x_shape
-        s = self.size
-        routed = mask * dout[:, :, :, :, None]
-        return (
-            routed.reshape(n, c, h // s, w // s, s, s)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(x_shape)
-        )
+        x_shape, masks = self._cache
+        dx = np.empty(x_shape, dtype=dout.dtype)
+        for m, dst in zip(masks, self._taps(dx)):
+            np.multiply(m, dout, out=dst)
+        return dx
 
 
 class AvgPool2D(Layer):
